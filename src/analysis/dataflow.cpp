@@ -352,7 +352,7 @@ std::vector<MoveCertificate> certify_plan_moves(
     // Static argument 1 — Theorem 5.1: an element whose function maps all-X
     // inputs to all-X outputs cannot manufacture definite latch state, so
     // any move across it leaves every CLS trace unchanged.
-    if (scratch.cell_function(move.element).preserves_all_x()) {
+    if (scratch.preserves_all_x(move.element)) {
       cert.certified = true;
       cert.reason = "element preserves all-X (Theorem 5.1)";
     } else if (!observable_mask(scratch)[move.element.value]) {

@@ -24,6 +24,8 @@ const char* to_string(EquivalenceBackend backend) {
       return "portfolio";
     case EquivalenceBackend::kStatic:
       return "static";
+    case EquivalenceBackend::kCertificate:
+      return "certificate";
   }
   return "?";
 }
@@ -41,8 +43,11 @@ std::optional<EquivalenceBackend> equivalence_backend_from_string(
 std::string ClsEquivalenceResult::summary() const {
   std::ostringstream os;
   os << (equivalent ? "CLS-equivalent" : "CLS-DISTINGUISHABLE") << " ("
-     << (exhaustive ? "exhaustive proof" : "bounded check") << ", "
-     << pairs_explored << " state pairs";
+     << (exhaustive ? "exhaustive proof" : "bounded check");
+  // Only the explicit engine explores state pairs.
+  if (decided_by == EquivalenceBackend::kExplicit) {
+    os << ", " << pairs_explored << " state pairs";
+  }
   if (verdict == Verdict::kExhausted) os << ", budget exhausted";
   os << ")";
   if (counterexample) {

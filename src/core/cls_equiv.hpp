@@ -42,17 +42,21 @@ namespace rtv {
 ///                 kExhausted when it is selected explicitly. The
 ///                 dispatcher also tries it first as a fast path for every
 ///                 other backend (VerifyOptions::allow_static_proof).
+///  * kCertificate — output only: the synthesis flow proved its own steps
+///                 (core/certificate.hpp) and no engine ran. It cannot be
+///                 selected, since it needs the flow's witness.
 enum class EquivalenceBackend : std::uint8_t {
   kExplicit,
   kBdd,
   kSat,
   kPortfolio,
   kStatic,
+  kCertificate,
 };
 
 const char* to_string(EquivalenceBackend backend);
 /// Parses "explicit" | "bdd" | "sat" | "portfolio" | "static"; nullopt
-/// otherwise.
+/// otherwise (also for "certificate", which is never selectable).
 std::optional<EquivalenceBackend> equivalence_backend_from_string(
     std::string_view name);
 

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "analysis/lint.hpp"
+#include "core/certificate.hpp"
 #include "core/redundancy.hpp"
 #include "retime/graph.hpp"
 #include "retime/min_area.hpp"
@@ -18,6 +19,12 @@ std::string FlowReport::summary() const {
      << ", gates " << gates_before << " -> " << gates_after << "\n";
   os << "retiming safety: " << safety.summary() << "\n";
   os << "CLS gate:        " << cls.summary() << "\n";
+  os << "decided by:      " << to_string(cls.decided_by);
+  if (!cls.decided_reason.empty()) os << " (" << cls.decided_reason << ")";
+  os << "\n";
+  if (!certificate_refusal.empty()) {
+    os << "certificate:     refused: " << certificate_refusal << "\n";
+  }
   os << "resources:       " << to_string(verdict) << " (" << usage.summary()
      << ")\n";
   if (accepted()) {
@@ -56,7 +63,16 @@ FlowReport run_synthesis_flow(const Netlist& design,
   if (options.constant_propagation) work.propagate_constants();
   if (options.sweep_unobservable) work.sweep_unobservable();
   work.trim_dangling();  // restore every-port-driven for the move engine
-  work = work.compacted();
+  // The cleanup's register correspondence, for the certificate: latch slots
+  // of `design` are the same slots in `work` before compaction.
+  FlowWitness witness;
+  {
+    std::vector<NodeId> old_to_new;
+    work = work.compacted(&old_to_new);
+    for (const NodeId l : design.latches()) {
+      witness.latch_map.push_back(old_to_new[l.value]);
+    }
+  }
 
   budget.checkpoint("flow/retime");
   {
@@ -85,6 +101,8 @@ FlowReport run_synthesis_flow(const Netlist& design,
     }
     SequencedRetiming seq;
     report.safety = analyze_lag_retiming(work, g0, lag, &seq);
+    witness.cleaned = std::move(work);
+    witness.moves = std::move(seq.moves);
     work = std::move(seq.retimed);
   }
 
@@ -103,8 +121,27 @@ FlowReport run_synthesis_flow(const Netlist& design,
   report.period_after = RetimeGraph::from_netlist(work).clock_period();
   report.registers_after = work.num_latches();
   report.gates_after = work.num_gates();
-  budget.checkpoint("flow/cls-gate");
-  report.cls = verify_cls_equivalence(design, work, options.verify, &budget);
+  // The flow's own proof first; redundancy removal has no certificate leg.
+  // A refusal says nothing about the designs: the engine gate decides.
+  bool certified = false;
+  if (!options.redundancy_removal) {
+    const FlowCertificate cert = certify_flow(design, witness, work, &budget);
+    certified = cert.status == CertificateStatus::kProven;
+    if (certified) {
+      report.cls.equivalent = true;
+      report.cls.exhaustive = true;
+      report.cls.verdict = Verdict::kProven;
+      report.cls.decided_by = EquivalenceBackend::kCertificate;
+      report.cls.decided_reason = cert.reason;
+      report.cls.usage = budget.usage();
+    } else if (cert.status == CertificateStatus::kRefused) {
+      report.certificate_refusal = cert.reason;
+    }
+  }
+  if (!certified) {
+    budget.checkpoint("flow/cls-gate");
+    report.cls = verify_cls_equivalence(design, work, options.verify, &budget);
+  }
   report.optimized = std::move(work);
   report.verdict = budget.exhausted() ? Verdict::kExhausted : report.cls.verdict;
   report.usage = budget.usage();

@@ -4,6 +4,9 @@
 // retiming, optional CLS-redundancy removal) and gate the result on the
 // Section-5 invariant — the optimized design must be indistinguishable
 // from the input by a conservative three-valued simulator started all-X.
+// The gate first checks the flow's own certificate (core/certificate.hpp:
+// a register correspondence for the cleanup, Cor 5.2 for the retiming
+// moves); a state-space engine decides only when the certificate refuses.
 // "Because, in practice, all current design methodologies rely on this
 // type of three-valued simulation, we conclude that retiming of designs
 // without set and reset signals fits into a synthesis methodology."
@@ -38,8 +41,10 @@ struct FlowOptions {
   /// CLS-preserving redundancy removal (expensive: per-fault equivalence
   /// proofs); only sensible for small designs.
   bool redundancy_removal = false;
-  /// The CLS equivalence gate: backend selection plus every engine's
-  /// sub-options (core/verify.hpp). The explicit engine stays the default.
+  /// The engine gate behind the flow's certificate (core/certificate.hpp):
+  /// backend selection plus every engine's sub-options (core/verify.hpp).
+  /// The certificate always runs first; the engine decides only when it
+  /// refuses or when redundancy removal ran.
   VerifyOptions verify;
   /// Resource governance: one budget built from these limits spans every
   /// phase of the flow (cleanup, retiming, redundancy removal, CLS gate).
@@ -51,6 +56,10 @@ struct FlowReport {
   Netlist optimized;
   SafetyReport safety;          ///< Section-4 classification of the retiming
   ClsEquivalenceResult cls;     ///< the methodology gate (must be equivalent)
+  /// Why the flow's certificate refused (the first refused move and its
+  /// cell, or the first unmatched cone); empty when it proved the gate, ran
+  /// out of budget, or did not run.
+  std::string certificate_refusal;
   int period_before = 0;
   int period_after = 0;
   std::size_t registers_before = 0;

@@ -242,6 +242,9 @@ ClsEquivalenceResult verify_cls_equivalence(const Netlist& a, const Netlist& b,
               "designs differ in primary input count");
   RTV_REQUIRE(a.primary_outputs().size() == b.primary_outputs().size(),
               "designs differ in primary output count");
+  RTV_REQUIRE(options.backend != EquivalenceBackend::kCertificate,
+              "the certificate is the synthesis flow's own proof and cannot "
+              "be selected as a backend");
 
   // Static fast path: a fixpoint proof needs no state-space search, so it
   // short-circuits before any backend is even constructed. The fixpoint
@@ -284,6 +287,7 @@ ClsEquivalenceResult verify_cls_equivalence(const Netlist& a, const Netlist& b,
       result = run_portfolio(a, b, options, budget);
       break;
     case EquivalenceBackend::kStatic:
+    case EquivalenceBackend::kCertificate:
       break;  // handled above; unreachable
   }
   validate_counterexample(a, b, result);

@@ -242,8 +242,14 @@ class Netlist {
   /// i.e. every cycle contains at least one latch (the synchrony condition).
   bool every_cycle_has_latch() const;
 
-  /// True iff every combinational cell maps all-X inputs to all-X outputs
-  /// (the Section 5 assumption; constants violate it).
+  /// True iff the cell maps all-X inputs to all-X outputs — Thm 5.1's
+  /// condition on an element a retiming move crosses. Every primitive gate
+  /// and junction does, constants do not, and a table cell does iff its
+  /// TruthTable does.
+  bool preserves_all_x(NodeId id) const;
+
+  /// True iff every combinational cell preserves all-X (the Section 5
+  /// assumption; constants violate it).
   bool all_cells_preserve_all_x() const;
 
   /// One-line summary, e.g. "netlist: 3 PI, 2 PO, 4 latches, 17 gates".

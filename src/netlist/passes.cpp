@@ -544,19 +544,22 @@ std::size_t Netlist::trim_dangling() {
   return touched;
 }
 
+bool Netlist::preserves_all_x(NodeId id) const {
+  const Node& n = node_ref(id);
+  switch (n.kind) {
+    case CellKind::kConst0:
+    case CellKind::kConst1:
+      return false;
+    case CellKind::kTable:
+      return tables_[n.table.value].preserves_all_x();
+    default:
+      return true;  // all primitive gates, junctions and latches preserve all-X
+  }
+}
+
 bool Netlist::all_cells_preserve_all_x() const {
-  for (const Node& n : nodes_) {
-    if (n.dead) continue;
-    switch (n.kind) {
-      case CellKind::kConst0:
-      case CellKind::kConst1:
-        return false;
-      case CellKind::kTable:
-        if (!tables_[n.table.value].preserves_all_x()) return false;
-        break;
-      default:
-        break;  // all primitive gates, junctions and latches preserve all-X
-    }
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    if (!nodes_[i].dead && !preserves_all_x(NodeId(i))) return false;
   }
   return true;
 }

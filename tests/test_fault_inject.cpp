@@ -25,6 +25,7 @@
 namespace rtv {
 namespace {
 
+using testing::constant_gated_toggle;
 using testing::inverter_pipeline;
 using testing::toggle_circuit;
 
@@ -33,6 +34,8 @@ using testing::toggle_circuit;
 struct WorkloadReport {
   RetimingValidation validation;
   FlowReport flow;
+  /// A flow the certificate decides, with one cone left to SAT.
+  FlowReport certified_flow;
   FaultSimResult faultsim;
   std::size_t faultsim_faults = 0;
   /// BDD reclamation under budget: did a trip mid-collection or mid-sift
@@ -64,6 +67,15 @@ WorkloadReport run_workload() {
     opt.verify.explicit_opts.random_sequences = 4;
     opt.verify.explicit_opts.random_length = 4;
     w.flow = run_synthesis_flow(toggle_circuit(), opt);
+  }
+
+  // flow without redundancy removal: the certificate gate, with its
+  // "flow/certificate" and "certificate/sat" checkpoints.
+  {
+    FlowOptions opt;
+    opt.verify.explicit_opts.random_sequences = 4;
+    opt.verify.explicit_opts.random_length = 4;
+    w.certified_flow = run_synthesis_flow(constant_gated_toggle(), opt);
   }
 
   // faultsim: exact mode, single worker so the checkpoint schedule is
@@ -193,24 +205,32 @@ void expect_well_formed(const WorkloadReport& w, std::uint64_t trip_point) {
     EXPECT_EQ(vs.find("verdict:  proven"), std::string::npos);
   }
 
-  // -- flow ------------------------------------------------------------
-  const FlowReport& f = w.flow;
-  if (f.usage.exhausted) {
-    EXPECT_EQ(f.verdict, Verdict::kExhausted);
-    EXPECT_FALSE(f.accepted());
+  // -- flows -----------------------------------------------------------
+  for (const FlowReport* flow : {&w.flow, &w.certified_flow}) {
+    const FlowReport& f = *flow;
+    if (f.usage.exhausted) {
+      EXPECT_EQ(f.verdict, Verdict::kExhausted);
+      EXPECT_FALSE(f.accepted());
+      // A blown budget never yields a certificate.
+      EXPECT_NE(f.cls.decided_by, EquivalenceBackend::kCertificate);
+    }
+    if (f.cls.decided_by == EquivalenceBackend::kCertificate) {
+      EXPECT_EQ(f.verdict, Verdict::kProven);
+      EXPECT_TRUE(f.certificate_refusal.empty());
+    }
+    EXPECT_EQ(f.cls.exhaustive, f.cls.verdict == Verdict::kProven);
+    const std::string fs = f.summary();
+    if (f.verdict == Verdict::kExhausted) {
+      EXPECT_NE(fs.find("UNDECIDED"), std::string::npos);
+      EXPECT_EQ(fs.find("ACCEPTED"), std::string::npos);
+    } else {
+      EXPECT_TRUE(f.accepted());
+      EXPECT_NE(fs.find("ACCEPTED"), std::string::npos);
+    }
+    // The flow's output design must be structurally sound even when the
+    // pipeline was cut short anywhere.
+    EXPECT_NO_THROW(f.optimized.check_valid(true));
   }
-  EXPECT_EQ(f.cls.exhaustive, f.cls.verdict == Verdict::kProven);
-  const std::string fs = f.summary();
-  if (f.verdict == Verdict::kExhausted) {
-    EXPECT_NE(fs.find("UNDECIDED"), std::string::npos);
-    EXPECT_EQ(fs.find("ACCEPTED"), std::string::npos);
-  } else {
-    EXPECT_TRUE(f.accepted());
-    EXPECT_NE(fs.find("ACCEPTED"), std::string::npos);
-  }
-  // The flow's output design must be structurally sound even when the
-  // pipeline was cut short anywhere.
-  EXPECT_NO_THROW(f.optimized.check_valid(true));
 
   // -- faultsim --------------------------------------------------------
   const FaultSimResult& r = w.faultsim;
@@ -256,6 +276,7 @@ TEST(FaultInjectSweep, CensusCoversTheRequiredInjectionSurface) {
   // the maintenance checkpoints it exists to trip.
   EXPECT_EQ(w.validation.verdict, Verdict::kProven);
   EXPECT_TRUE(w.flow.accepted());
+  EXPECT_EQ(w.certified_flow.cls.decided_by, EquivalenceBackend::kCertificate);
   EXPECT_TRUE(w.faultsim.complete);
   EXPECT_FALSE(w.bdd_exhausted);
   EXPECT_GE(w.bdd_stats.gc_runs, 1u);
@@ -267,6 +288,7 @@ TEST(FaultInjectSweep, CensusCoversTheRequiredInjectionSurface) {
   EXPECT_GE(sites.size(), 8u);
   std::size_t cls_sites = 0, stg_sites = 0, flow_sites = 0, fault_sites = 0;
   bool saw_bdd_gc = false, saw_bdd_reorder = false;
+  bool saw_certificate = false, saw_certificate_sat = false;
   for (const std::string& s : sites) {
     cls_sites += s.rfind("cls/", 0) == 0;
     stg_sites += s.rfind("stg/", 0) == 0;
@@ -274,6 +296,8 @@ TEST(FaultInjectSweep, CensusCoversTheRequiredInjectionSurface) {
     fault_sites += s.rfind("fault/", 0) == 0;
     saw_bdd_gc |= s == "bdd/gc";
     saw_bdd_reorder |= s == "bdd/reorder";
+    saw_certificate |= s == "flow/certificate";
+    saw_certificate_sat |= s == "certificate/sat";
   }
   EXPECT_GT(cls_sites, 0u) << "no CLS checkpoints seen";
   EXPECT_GT(stg_sites, 0u) << "no STG checkpoints seen";
@@ -281,6 +305,8 @@ TEST(FaultInjectSweep, CensusCoversTheRequiredInjectionSurface) {
   EXPECT_GT(fault_sites, 0u) << "no fault-engine checkpoints seen";
   EXPECT_TRUE(saw_bdd_gc) << "no BDD collection checkpoint seen";
   EXPECT_TRUE(saw_bdd_reorder) << "no BDD sifting checkpoint seen";
+  EXPECT_TRUE(saw_certificate) << "no flow certificate checkpoint seen";
+  EXPECT_TRUE(saw_certificate_sat) << "no certificate SAT checkpoint seen";
 }
 
 TEST(FaultInjectSweep, EveryInjectionPointDegradesGracefully) {

@@ -55,4 +55,26 @@ inline Netlist inverter_pipeline() {
   return n;
 }
 
+/// The toggle with its output gated by a constant: out = t AND 1. Constant
+/// propagation rewrites the AND away, so the output cone of the cleaned
+/// design no longer hashes like the original's.
+inline Netlist constant_gated_toggle() {
+  Netlist n;
+  const NodeId in = n.add_input("in");
+  const NodeId out = n.add_output("out");
+  const NodeId t = n.add_latch("t");
+  const NodeId x = n.add_gate(CellKind::kXor, 2, "x");
+  const NodeId one = n.add_const(true, "one");
+  const NodeId g = n.add_gate(CellKind::kAnd, 2, "g");
+  n.connect(PortRef(t, 0), PinRef(x, 0));
+  n.connect(PortRef(in, 0), PinRef(x, 1));
+  n.connect(PortRef(x, 0), PinRef(t, 0));
+  n.connect(PortRef(t, 0), PinRef(g, 0));
+  n.connect(PortRef(one, 0), PinRef(g, 1));
+  n.connect(PortRef(g, 0), PinRef(out, 0));
+  n.junctionize();
+  n.check_valid(true);
+  return n;
+}
+
 }  // namespace rtv::testing

@@ -55,6 +55,10 @@ check(usage_unknown_command 2 "unknown command" frobnicate)
 check(usage_no_design 2 "validate needs one design" validate)
 check(usage_bad_on_exhaust 2 "--on-exhaust must be degrade or fail"
       validate "${toggle}" --min-area --on-exhaust=sometimes)
+# "certificate" is reported as a decider but is the flow's own proof, never
+# a selectable backend.
+check(usage_backend_certificate 2 "--backend must be"
+      flow "${toggle}" --min-area --backend certificate)
 
 # 3: the design file exists but fails to parse.
 check(parse_error 3 "parse error:" validate "${malformed}" --min-area)

@@ -131,7 +131,10 @@ enum ExitCode : int {
                " portfolio | static\n"
                "                       (engine matrix in docs/backends.md;\n"
                "                       every backend tries the static\n"
-               "                       ternary-fixpoint proof first)\n"
+               "                       ternary-fixpoint proof first; flow\n"
+               "                       checks its own certificate before\n"
+               "                       any backend and prints why when it\n"
+               "                       refuses)\n"
                "\n"
                "BDD engine (validate, flow, cls-equiv with --backend bdd or"
                " portfolio):\n"
