@@ -94,15 +94,17 @@ Row measure(const std::string& name, Body&& body) {
 
 using VerdictLabel = std::pair<std::string, bool>;
 
+/// Besides `latches`, the generator puts a latch after each gate with
+/// probability `latch_after_gate`.
 Netlist random_workload(unsigned gates, unsigned latches, unsigned inputs,
-                        std::uint64_t seed) {
+                        std::uint64_t seed, double latch_after_gate = 0.05) {
   Rng rng(seed);
   RandomCircuitOptions opt;
   opt.num_inputs = inputs;
   opt.num_outputs = 8;
   opt.num_gates = gates;
   opt.num_latches = latches;
-  opt.latch_after_gate_probability = 0.05;
+  opt.latch_after_gate_probability = latch_after_gate;
   return random_netlist(opt, rng);
 }
 
@@ -139,8 +141,14 @@ std::vector<Row> run_report(bool smoke) {
   // STG extraction: per-state-row checkpoints; cannot return a partial
   // machine, so exhaustion surfaces as ResourceExhausted.
   {
-    const Netlist n = random_workload(smoke ? 96 : 512, smoke ? 6 : 13,
-                                      smoke ? 2 : 4, 0xB2);
+    // The full-size design must fit the extractor: at most 32 latches and
+    // 64 outputs, the width of its packed output words. The generator caps
+    // every dangling port with an output, so 128 gates (56 outputs), and
+    // no per-gate latches, so exactly 13: 2^(13 + 4) rows, well within
+    // kDefaultStgEntryCap.
+    const Netlist n = random_workload(smoke ? 96 : 128, smoke ? 6 : 13,
+                                      smoke ? 2 : 4, 0xB2,
+                                      smoke ? 0.05 : 0.0);
     rows.push_back(measure("stg_extract", [&](ResourceBudget* b) {
       try {
         const Stg stg = Stg::extract(n, kDefaultStgEntryCap, b);
@@ -155,7 +163,10 @@ std::vector<Row> run_report(bool smoke) {
   // Symbolic reachability: checkpoints per image iteration and per BDD
   // node-allocation probe.
   {
-    const Netlist n = random_workload(smoke ? 128 : 1024, smoke ? 12 : 48,
+    // Full size: the ungoverned run must finish within the default BDD
+    // node limit (1024 gates and 48 latches exceeded it); this one proves
+    // in about 2 s.
+    const Netlist n = random_workload(smoke ? 128 : 384, smoke ? 12 : 16,
                                       8, 0xB3);
     const Bits zero(n.latches().size(), 0);
     rows.push_back(measure("symbolic_reach", [&](ResourceBudget* b) {

@@ -121,7 +121,8 @@ std::int64_t RetimeGraph::retimed_total_weight(
   return total;
 }
 
-int RetimeGraph::clock_period(const std::vector<int>& lag) const {
+std::vector<std::uint32_t> RetimeGraph::zero_weight_order(
+    const std::vector<int>& lag) const {
   const bool use_lag = !lag.empty();
   if (use_lag) {
     RTV_REQUIRE(lag.size() == num_vertices(), "lag vector size mismatch");
@@ -129,37 +130,44 @@ int RetimeGraph::clock_period(const std::vector<int>& lag) const {
   const auto weight = [&](std::size_t i) {
     return use_lag ? retimed_weight(i, lag) : edges_[i].weight;
   };
-
-  // Longest path over the zero-weight subgraph via Kahn ordering; every
-  // cycle carries a register, so this subgraph is acyclic.
   const std::uint32_t n = num_vertices();
   std::vector<std::uint32_t> indegree(n, 0);
   for (std::size_t i = 0; i < edges_.size(); ++i) {
     const int w = weight(i);
-    RTV_REQUIRE(w >= 0, "clock_period on an illegal retiming");
+    RTV_REQUIRE(w >= 0, "zero_weight_order on an illegal retiming");
     if (w == 0) ++indegree[edges_[i].to];
   }
-  std::vector<std::uint32_t> ready;
-  std::vector<int> arrival(n);
+  std::vector<std::uint32_t> order;
+  order.reserve(n);
   for (std::uint32_t v = 0; v < n; ++v) {
-    arrival[v] = delay_[v];
-    if (indegree[v] == 0) ready.push_back(v);
+    if (indegree[v] == 0) order.push_back(v);
   }
-  int period = 0;
-  std::size_t emitted = 0;
-  while (!ready.empty()) {
-    const std::uint32_t u = ready.back();
-    ready.pop_back();
-    ++emitted;
-    period = std::max(period, arrival[u]);
-    for (const std::uint32_t i : out_[u]) {
-      if (weight(i) != 0) continue;
-      const std::uint32_t v = edges_[i].to;
-      arrival[v] = std::max(arrival[v], arrival[u] + delay_[v]);
-      if (--indegree[v] == 0) ready.push_back(v);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    for (const std::uint32_t i : out_[order[k]]) {
+      if (weight(i) == 0 && --indegree[edges_[i].to] == 0) {
+        order.push_back(edges_[i].to);
+      }
     }
   }
-  RTV_CHECK_MSG(emitted == n, "zero-weight subgraph has a cycle");
+  RTV_CHECK_MSG(order.size() == n, "zero-weight subgraph has a cycle");
+  return order;
+}
+
+int RetimeGraph::clock_period(const std::vector<int>& lag) const {
+  // Longest path over the zero-weight subgraph in topological order.
+  const std::vector<std::uint32_t> order = zero_weight_order(lag);
+  std::vector<int> arrival = delay_;
+  int period = 0;
+  for (const std::uint32_t u : order) {
+    period = std::max(period, arrival[u]);
+    for (const std::uint32_t i : out_[u]) {
+      if ((lag.empty() ? edges_[i].weight : retimed_weight(i, lag)) != 0) {
+        continue;
+      }
+      const std::uint32_t v = edges_[i].to;
+      arrival[v] = std::max(arrival[v], arrival[u] + delay_[v]);
+    }
+  }
   return period;
 }
 

@@ -87,6 +87,12 @@ class RetimeGraph {
   /// own delay). `lag` optional: empty means current weights.
   int clock_period(const std::vector<int>& lag = {}) const;
 
+  /// The vertices in a topological order of the zero-weight edges (every
+  /// cycle carries a register, so one exists). `lag` optional: empty means
+  /// current weights.
+  std::vector<std::uint32_t> zero_weight_order(
+      const std::vector<int>& lag = {}) const;
+
   /// Structural sanity: graph vertex/edge cross-links consistent and every
   /// directed cycle carries at least one register.
   void check_valid() const;
